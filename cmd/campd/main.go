@@ -23,11 +23,12 @@
 //
 // Observability: every worker and store serves /metrics (live counters,
 // including chaos.fault.injected.* and dist.rpc.retried, plus
-// runtime.goroutines / runtime.heap.alloc gauges) and /debug/pprof on
-// its own listen address. The coordinator's -metrics-addr additionally
-// hosts the span collector at /v1/spans: give workers
-// -span-ship http://COORD_METRICS/v1/spans and -trace on the
-// coordinator writes one stitched Chrome trace for the whole fleet.
+// runtime.goroutines / runtime.heap.alloc gauges), /debug/spans,
+// /debug/hist and /debug/pprof/ on its own listen address. The
+// coordinator's -metrics-addr additionally hosts the span collector at
+// /v1/spans: give workers -span-ship http://COORD_METRICS/v1/spans and
+// -trace on the coordinator writes one stitched Chrome trace for the
+// whole fleet.
 // The store's -warehouse DIR opens the WAL-backed METRICS warehouse
 // (served under /warehouse/ on its -metrics-addr); workers feed it via
 // -warehouse-url.
@@ -163,7 +164,7 @@ func nodeID(node string) uint16 {
 // gauges every node exposes on its own /metrics (satellite health:
 // runtime.goroutines, runtime.heap.alloc).
 func setupObs(o nodeObs, aux map[string]http.Handler) (flush func(), err error) {
-	obsFlush, err := obs.SetupCfg(obs.Config{
+	return obs.Setup(obs.Config{
 		TraceFile:     o.traceFile,
 		MetricsAddr:   o.metricsAddr,
 		SpanRetention: o.retention,
@@ -173,37 +174,22 @@ func setupObs(o nodeObs, aux map[string]http.Handler) (flush func(), err error) 
 		Aux:           aux,
 		Gauges:        time.Second,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return obsFlush, nil
 }
 
-// sweepConfig derives the campaign spec from the shared sweep flags —
-// the same derivation sprflow's -sweep uses, so the two binaries agree
-// on the point list byte-for-byte.
+// sweepConfig derives the campaign spec from the shared sweep flags
+// through repro.DesignByName and repro.SweepAxes — the derivation
+// sprflow's -sweep uses, so the two binaries agree on the point list
+// byte-for-byte.
 func sweepConfig(design string, freq float64, seed int64, effort, nSeeds int) (repro.SweepConfig, error) {
-	var spec repro.DesignSpec
-	switch design {
-	case "pulpino":
-		spec = repro.PulpinoProxy(seed)
-	case "cpu":
-		spec = repro.EmbeddedCPU(seed)
-	case "artificial":
-		spec = repro.Artificial(seed)
-	case "tiny":
-		spec = repro.TinyDesign(seed)
-	default:
-		return repro.SweepConfig{}, fmt.Errorf("campd: unknown design %q", design)
+	spec, err := repro.DesignByName(design, seed)
+	if err != nil {
+		return repro.SweepConfig{}, fmt.Errorf("campd: %w", err)
 	}
-	seeds := make([]int64, nSeeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
+	freqs, seeds := repro.SweepAxes(freq, seed, nSeeds)
 	return repro.SweepConfig{
 		Design: repro.NewDesign(repro.DefaultLibrary(), spec),
 		Base:   repro.FlowOptions{SynthEffort: effort},
-		Freqs:  []float64{0.8 * freq, freq, 1.2 * freq},
+		Freqs:  freqs,
 		Seeds:  seeds,
 	}, nil
 }

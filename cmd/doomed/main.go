@@ -66,7 +66,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-resume requires -journal DIR")
 		return 2
 	}
-	flush, err := obs.Setup(*traceFile, *metricsAddr)
+	flush, err := obs.Setup(obs.Config{TraceFile: *traceFile, MetricsAddr: *metricsAddr, SpanRetention: -1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2

@@ -119,32 +119,19 @@ func runCampaignSpec(ctx context.Context, raw json.RawMessage, onPoint func(inde
 	if spec.Effort == 0 {
 		spec.Effort = 2
 	}
-	var ds repro.DesignSpec
-	switch spec.Design {
-	case "pulpino":
-		ds = repro.PulpinoProxy(spec.Seed)
-	case "cpu":
-		ds = repro.EmbeddedCPU(spec.Seed)
-	case "artificial":
-		ds = repro.Artificial(spec.Seed)
-	case "tiny":
-		ds = repro.TinyDesign(spec.Seed)
-	default:
-		return nil, fmt.Errorf("unknown design %q", spec.Design)
+	ds, err := repro.DesignByName(spec.Design, spec.Seed)
+	if err != nil {
+		return nil, err
 	}
-	seeds := make([]int64, spec.Seeds)
-	for i := range seeds {
-		seeds[i] = spec.Seed + int64(i)
-	}
+	freqs, seeds := repro.SweepAxes(spec.Freq, spec.Seed, spec.Seeds)
 	scfg := repro.SweepConfig{
 		Design:  repro.NewDesign(repro.DefaultLibrary(), ds),
 		Base:    repro.FlowOptions{SynthEffort: spec.Effort},
-		Freqs:   []float64{0.8 * spec.Freq, spec.Freq, 1.2 * spec.Freq},
+		Freqs:   freqs,
 		Seeds:   seeds,
 		Workers: spec.Workers,
 	}
 	var res repro.SweepResult
-	var err error
 	if spec.DistNodes > 0 {
 		res, err = repro.DistSweep(repro.DistSweepConfig{SweepConfig: scfg, Nodes: spec.DistNodes})
 	} else {

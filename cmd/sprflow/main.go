@@ -128,7 +128,7 @@ func run() int {
 			"/warehouse/": http.StripPrefix("/warehouse", warehouse.NewHandler(wh)),
 		}
 	}
-	flush, err := obs.SetupCfg(obs.Config{
+	flush, err := obs.Setup(obs.Config{
 		TraceFile:     *traceFile,
 		MetricsAddr:   *metricsAddr,
 		SpanRetention: *spanRetention,
@@ -140,18 +140,9 @@ func run() int {
 	}
 	defer flush()
 
-	var spec repro.DesignSpec
-	switch *design {
-	case "pulpino":
-		spec = repro.PulpinoProxy(*seed)
-	case "cpu":
-		spec = repro.EmbeddedCPU(*seed)
-	case "artificial":
-		spec = repro.Artificial(*seed)
-	case "tiny":
-		spec = repro.TinyDesign(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown design %q\n", *design)
+	spec, err := repro.DesignByName(*design, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	d := repro.NewDesign(repro.DefaultLibrary(), spec)
@@ -257,11 +248,7 @@ type sweepConfig struct {
 // and an uninterrupted (or non-speculative) sweep compares only
 // results.
 func runSweep(d *repro.Design, baseFreq float64, seed int64, base repro.FlowOptions, cfg sweepConfig) int {
-	freqs := []float64{0.8 * baseFreq, baseFreq, 1.2 * baseFreq}
-	seeds := make([]int64, cfg.seeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
+	freqs, seeds := repro.SweepAxes(baseFreq, seed, cfg.seeds)
 	scfg := repro.SweepConfig{
 		Design:           d,
 		Base:             base,

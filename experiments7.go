@@ -110,6 +110,18 @@ type SweepConfig struct {
 	Warehouse warehouse.Appender
 }
 
+// SweepAxes derives the Freqs x Seeds cross the sweep CLIs share from
+// their -freq/-seed/-sweep flags: 0.8x, 1x and 1.2x freq, and n
+// consecutive seeds from seed. One derivation is what keeps sprflow,
+// campd and the campaign front door on the same point list.
+func SweepAxes(freq float64, seed int64, n int) (freqs []float64, seeds []int64) {
+	seeds = make([]int64, n)
+	for i := range seeds {
+		seeds[i] = seed + int64(i)
+	}
+	return []float64{0.8 * freq, freq, 1.2 * freq}, seeds
+}
+
 // CampaignID derives the stable identity of a campaign from its point
 // list: the fnv-64a of every point's cache key in order. Every process
 // that derives the same point list — the single-node sweep, each campd

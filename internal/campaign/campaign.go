@@ -452,7 +452,7 @@ func countJudgment(stage string, j flow.SpecJudgment) {
 	} else {
 		metrics.Add("predict."+stage+".miss", 1)
 	}
-	metrics.Observe("predict.tolerr."+stage, j.ErrPct)
+	metrics.Values.Observe("predict.tolerr."+stage, j.ErrPct)
 }
 
 // countFault classifies a retryable failure into the fault counters.

@@ -3,9 +3,11 @@ package dist
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -456,5 +458,24 @@ func TestTierServesAcrossNodes(t *testing.T) {
 	}
 	if tierHits != int64(len(pts)) {
 		t.Fatalf("tier hits = %d, want %d (every point served from store)", tierHits, len(pts))
+	}
+}
+
+// TestRunRejectsOversizedBody: /v1/run decodes at most 1 MiB. A valid
+// run request padded past the cap is refused with a 4xx instead of
+// being decoded and computed.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	cl := startCluster(t, sweepPoints(tinyDesign(1), 1, 1), 1, nil)
+	body := `{"index":0,"pad":"` + strings.Repeat("x", maxRunBody) + `"}`
+	resp, err := http.Post(cl.nodes[0].URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("oversized /v1/run body: status %d, want 4xx", resp.StatusCode)
+	}
+	if n := cl.workers[0].Completed(); n != 0 {
+		t.Fatalf("oversized request ran %d points", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -19,6 +20,8 @@ import (
 //	POST /v1/release-node?node=N  {"released":n} — dead-node revocation
 //	GET  /v1/stats                StoreStats JSON
 //	GET  /healthz                 "ok"
+//
+// plus the shared debug mount (metrics.MountDebug).
 type StoreServer struct {
 	store *Store
 	node  httpNode
@@ -46,7 +49,7 @@ func (s *StoreServer) Start(addr string) (string, error) {
 	mux.HandleFunc("/v1/release-node", s.handleReleaseNode)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/healthz", handleHealthz)
-	mountNodeDebug(mux)
+	metrics.MountDebug(mux, nil, nil)
 	return s.node.start(addr, mux)
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -110,37 +111,39 @@ func TestRPCRetryTraceAdoption(t *testing.T) {
 	}
 }
 
-// TestNodeDebugEndpoints: every worker and store process exposes
-// /metrics (live counters + histograms) and the stock pprof set.
+// TestNodeDebugEndpoints: every worker and store process serves the
+// shared debug mount — /metrics (live counters + histograms),
+// /debug/spans, /debug/hist and the stock pprof set.
 func TestNodeDebugEndpoints(t *testing.T) {
-	metrics.Add("dist.rpc.retried", 1) // ensure the counter exists in the dump
-	mux := http.NewServeMux()
-	mountNodeDebug(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("/metrics: %v", err)
+	metrics.Add("dist.rpc.retried", 1)                  // ensure the counter exists in the dump
+	metrics.Values.Observe("dist.test.node_debug", 0.5) // and a value histogram line
+	cl := startCluster(t, sweepPoints(tinyDesign(1), 1, 1), 1, nil)
+	nodes := []struct{ name, url string }{
+		{"worker", cl.nodes[0].URL},
+		{"store", "http://" + cl.server.Addr()},
 	}
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp.StatusCode)
+	paths := []struct{ path, want string }{
+		{"/metrics", "dist.rpc.retried"},
+		{"/metrics", "dist.test.node_debug count="},
+		{"/debug/spans", `"enabled"`},
+		{"/debug/hist", "dist.test.node_debug count="},
+		{"/debug/pprof/", "goroutine"},
+		{"/debug/pprof/cmdline", ""},
 	}
-	if !strings.Contains(string(body[:n]), "dist.rpc.retried") {
-		t.Fatalf("/metrics missing dist.rpc.retried:\n%s", body[:n])
-	}
-
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
+	for _, n := range nodes {
+		for _, p := range paths {
+			resp, err := http.Get(n.url + p.path)
+			if err != nil {
+				t.Fatalf("%s %s: %v", n.name, p.path, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s status = %d", n.name, p.path, resp.StatusCode)
+			}
+			if !strings.Contains(string(body), p.want) {
+				t.Fatalf("%s %s missing %q:\n%.500s", n.name, p.path, p.want, body)
+			}
 		}
 	}
 }

@@ -24,6 +24,8 @@ import (
 //	GET  /v1/stats worker + cache counters
 //	GET  /healthz  "ok"
 //
+// plus the shared debug mount (metrics.MountDebug).
+//
 // When the store is unreachable the worker degrades instead of dying:
 // it computes without a claim (determinism makes duplicate computes
 // harmless), parks write-throughs in the client backlog, and backfills
@@ -101,7 +103,7 @@ func (w *Worker) Start(addr string) (string, error) {
 	mux.HandleFunc("/v1/run", w.handleRun)
 	mux.HandleFunc("/v1/stats", w.handleStats)
 	mux.HandleFunc("/healthz", handleHealthz)
-	mountNodeDebug(mux)
+	metrics.MountDebug(mux, nil, nil)
 	return w.node.start(addr, mux)
 }
 
@@ -148,6 +150,10 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 // Completed reports how many run requests this node finished.
 func (w *Worker) Completed() int64 { return w.completed.Load() }
 
+// maxRunBody caps the /v1/run request body (the same 1 MiB as the
+// METRICS server's /collect).
+const maxRunBody = 1 << 20
+
 // runRequest is the /v1/run body.
 type runRequest struct {
 	Index int `json:"index"`
@@ -170,7 +176,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 
 	n := w.runs.Add(1)
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRunBody)).Decode(&req); err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}

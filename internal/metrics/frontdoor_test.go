@@ -315,3 +315,29 @@ func TestFrontDoorCloseUnblocksStreams(t *testing.T) {
 		t.Fatal("submit after close succeeded")
 	}
 }
+
+// TestFrontDoorRejectsOversizedSubmit: POST /v1/campaigns decodes at
+// most 1 MiB (the same cap as /collect). A valid submission padded past
+// it is refused with a 4xx and queues nothing.
+func TestFrontDoorRejectsOversizedSubmit(t *testing.T) {
+	fd := NewFrontDoor(newBlockingRunner(0), 1, 8)
+	srv := NewServer(nil)
+	srv.FrontDoor = fd
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	body := `{"tenant":"t","spec":{},"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err := http.Post("http://"+addr+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("oversized submit: status %d, want 4xx", resp.StatusCode)
+	}
+	if n := len(fd.List()); n != 0 {
+		t.Fatalf("oversized submit queued %d campaigns", n)
+	}
+}

@@ -2,14 +2,11 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -23,16 +20,9 @@ import (
 // commodity networking ... will be much simpler", and it is.)
 //
 // Beyond record collection it is the live introspection surface of a
-// running campaign:
-//
-//	/stats        legacy one-line summary + counter dump
-//	/metrics      plain-text exposition of every counter and latency
-//	              histogram (one "name value" / histogram line each)
-//	/debug/spans  JSON snapshot of the armed tracer: in-flight spans
-//	              (what the campaign is doing right now) and recent
-//	              finished spans
-//	/debug/hist   plain-text per-span-name latency quantiles
-//	/debug/pprof  the standard net/http/pprof handlers
+// running campaign: /stats (legacy one-line summary + counter dump) and
+// the shared debug mount (MountDebug: /metrics, /debug/spans,
+// /debug/hist, /debug/pprof/).
 type Server struct {
 	Store *Store
 
@@ -72,6 +62,10 @@ const (
 	counterRejected = "metrics.server.record.rejected"
 )
 
+// maxBodyBytes caps every request body the server decodes (/collect
+// and POST /v1/campaigns).
+const maxBodyBytes = 1 << 20
+
 // NewServer creates a server around a store (a fresh store if nil).
 func NewServer(store *Store) *Server {
 	if store == nil {
@@ -108,14 +102,7 @@ func (s *Server) Start(addr string) (string, error) {
 	mux.HandleFunc("/collect", s.handleCollect)
 	mux.HandleFunc("/records", s.handleRecords)
 	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/spans", s.handleSpans)
-	mux.HandleFunc("/debug/hist", s.handleHist)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountDebug(mux, s.Reg, s.tracer)
 	if s.FrontDoor != nil {
 		s.FrontDoor.mount(mux)
 	}
@@ -169,7 +156,7 @@ func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		s.Reg.Add(counterRejected, 1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -210,111 +197,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	acc, rej := s.Received()
 	fmt.Fprintf(w, "records=%d accepted=%d rejected=%d\n", s.Store.Len(), acc, rej)
-	// Server-local + process-wide infrastructure counters.
-	s.Reg.Write(w)
-	Default.Write(w)
-}
-
-// handleMetrics is the plain-text exposition endpoint: every counter
-// ("name value" per line, server registry first, then the process-wide
-// Default), the process-wide value histograms (predictor tolerance
-// errors and friends), and finally the armed tracer's latency
-// histograms.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.Reg.Write(w)
-	Default.Write(w)
-	DefaultHists.Write(w)
-	if t := s.tracer(); t != nil {
-		t.Histograms().Write(w)
-	}
-}
-
-// spansResponse is the /debug/spans JSON shape.
-type spansResponse struct {
-	Enabled bool       `json:"enabled"`
-	Live    []liveSpan `json:"live,omitempty"`
-	Done    []doneSpan `json:"done,omitempty"`
-	Dropped int64      `json:"dropped,omitempty"`
-}
-
-type liveSpan struct {
-	ID     uint64  `json:"id"`
-	Parent uint64  `json:"parent,omitempty"`
-	Name   string  `json:"name"`
-	AgeUs  float64 `json:"age_us"`
-}
-
-type doneSpan struct {
-	ID      uint64            `json:"id"`
-	Parent  uint64            `json:"parent,omitempty"`
-	Name    string            `json:"name"`
-	StartUs float64           `json:"start_us"`
-	DurUs   float64           `json:"dur_us"`
-	Outcome string            `json:"outcome"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// handleSpans is the live campaign introspection endpoint: the armed
-// tracer's in-flight spans (oldest first — a wedged stage shows up at
-// the top with a growing age) plus up to ?n= most recent finished
-// spans (default 100).
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	t := s.tracer()
-	if t == nil {
-		json.NewEncoder(w).Encode(spansResponse{Enabled: false}) //nolint:errcheck
-		return
-	}
-	limit := 100
-	if q := r.URL.Query().Get("n"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n >= 0 {
-			limit = n
-		}
-	}
-	resp := spansResponse{Enabled: true}
-	for _, ls := range t.Live() {
-		resp.Live = append(resp.Live, liveSpan{
-			ID: ls.ID, Parent: ls.Parent, Name: ls.Name,
-			AgeUs: float64(ls.Age.Nanoseconds()) / 1e3,
-		})
-	}
-	done, dropped := t.Snapshot()
-	resp.Dropped = dropped
-	if len(done) > limit {
-		resp.Dropped += int64(len(done) - limit)
-		done = done[len(done)-limit:] // keep the most recent
-	}
-	for _, sd := range done {
-		ds := doneSpan{
-			ID: sd.ID, Parent: sd.Parent, Name: sd.Name,
-			StartUs: float64(sd.Start.Nanoseconds()) / 1e3,
-			DurUs:   float64(sd.Dur.Nanoseconds()) / 1e3,
-			Outcome: string(sd.Outcome),
-		}
-		if len(sd.Attrs) > 0 {
-			ds.Attrs = make(map[string]string, len(sd.Attrs))
-			for _, a := range sd.Attrs {
-				ds.Attrs[a.Key] = a.Val
-			}
-		}
-		resp.Done = append(resp.Done, ds)
-	}
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
-}
-
-// handleHist renders the process-wide value histograms (per-stage
-// predictor tolerance errors live here) followed by the armed tracer's
-// per-span-name latency histograms as plain text.
-func (s *Server) handleHist(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	DefaultHists.Write(w)
-	t := s.tracer()
-	if t == nil {
-		fmt.Fprintln(w, "# tracing off (run with -trace or trace.Enable)")
-		return
-	}
-	t.Histograms().Write(w)
+	writeCounters(w, s.Reg)
 }
 
 // Transmitter posts records to a METRICS server as XML over HTTP — the

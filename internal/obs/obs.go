@@ -18,7 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Config selects what SetupCfg arms. The zero value arms nothing.
+// Config selects what Setup arms. The zero value arms nothing.
 type Config struct {
 	// TraceFile, when non-empty, arms the process-wide tracer and
 	// writes a Chrome trace there at flush.
@@ -50,16 +50,10 @@ type Config struct {
 	Gauges time.Duration
 }
 
-// Setup arms tracing and/or the metrics server per the flag values
-// (empty string = off) and returns a flush function that must run
-// before the process exits — it writes the trace file and shuts the
+// Setup arms what cfg selects and returns a flush function that must
+// run before the process exits — it writes the trace file and shuts the
 // server down. Callers should route every exit path through it.
-func Setup(traceFile, metricsAddr string) (flush func(), err error) {
-	return SetupCfg(Config{TraceFile: traceFile, MetricsAddr: metricsAddr, SpanRetention: -1})
-}
-
-// SetupCfg is Setup with the full Config surface.
-func SetupCfg(cfg Config) (flush func(), err error) {
+func Setup(cfg Config) (flush func(), err error) {
 	var tr *trace.Tracer
 	if cfg.TraceFile != "" || cfg.ShipURL != "" {
 		tr = trace.NewCfg(trace.Config{Retention: cfg.SpanRetention, NodeID: cfg.NodeID})

@@ -107,19 +107,8 @@ func (p *placer) annealSpeculative(rng *rand.Rand) {
 			inst := rng.Intn(numCells)
 			slot := rng.Intn(numSlots)
 			kind := kindEval
-			if slot == p.g.slotOf[inst] {
+			if slot == p.g.slotOf[inst] || (p.partitioned && p.regionOfSlot(slot) != p.part[inst]) {
 				kind = kindSkip
-			} else if p.partitioned && p.regionOfSlot(slot) != p.part[inst] {
-				if p.opts.ResampleCrossRegion {
-					cand := p.regionSlots[p.part[inst]]
-					slot = cand[rng.Intn(len(cand))]
-					p.res.MovesResampled++
-					if slot == p.g.slotOf[inst] {
-						kind = kindSkip
-					}
-				} else {
-					kind = kindSkip
-				}
 			}
 			insts[k], slots[k], kinds[k] = int32(inst), int32(slot), kind
 		}

@@ -52,12 +52,6 @@ type Options struct {
 	// max(32, Batch/4) and Batch from the previous epoch's conflict
 	// fraction (see the adapt* constants in parallel.go).
 	Batch int
-	// ResampleCrossRegion redirects region-crossing proposals of the
-	// partitioned refinement phase to a random slot inside the
-	// instance's own region instead of silently discarding them (the
-	// historical behaviour burned the cooling step without trying a
-	// move). Off by default so existing results stay reproducible.
-	ResampleCrossRegion bool
 }
 
 func (o Options) withDefaults(numCells int) Options {
@@ -87,9 +81,6 @@ type Result struct {
 	// time because an earlier proposal in the same batch touched an
 	// overlapping instance, slot or net (parallel engine only).
 	MovesConflicted int
-	// MovesResampled counts region-crossing proposals redirected into
-	// the instance's own region (Options.ResampleCrossRegion).
-	MovesResampled int
 	// BatchFinal is the adaptive speculative batch size at the end of
 	// the anneal (parallel engine only; 0 for the serial engine). A
 	// deterministic function of Seed/Moves/Batch like everything else.
@@ -179,7 +170,6 @@ type placer struct {
 
 	part        []int
 	partitioned bool
-	regionSlots [][]int
 	coarseProxy int
 
 	eval   evalScratch
@@ -271,22 +261,9 @@ func (p *placer) annealSerial(rng *rand.Rand) {
 		}
 		inst := rng.Intn(numCells)
 		slot := rng.Intn(numSlots)
-		if slot == p.g.slotOf[inst] {
+		if slot == p.g.slotOf[inst] || (p.partitioned && p.regionOfSlot(slot) != p.part[inst]) {
 			temp *= cool
 			continue
-		}
-		if p.partitioned && p.regionOfSlot(slot) != p.part[inst] {
-			if !p.opts.ResampleCrossRegion {
-				temp *= cool
-				continue
-			}
-			cand := p.regionSlots[p.part[inst]]
-			slot = cand[rng.Intn(len(cand))]
-			p.res.MovesResampled++
-			if slot == p.g.slotOf[inst] {
-				temp *= cool
-				continue
-			}
 		}
 		p.res.MovesTried++
 		delta, cost := p.evalDelta(inst, slot, &p.eval)
@@ -331,13 +308,6 @@ func (p *placer) assignPartitions() {
 	}
 	p.partitioned = true
 	p.coarseProxy = p.res.RuntimeProxy
-	if p.opts.ResampleCrossRegion {
-		p.regionSlots = make([][]int, p.opts.Partitions*p.opts.Partitions)
-		for slot := range p.g.instAt {
-			r := p.regionOfSlot(slot)
-			p.regionSlots[r] = append(p.regionSlots[r], slot)
-		}
-	}
 }
 
 func (p *placer) regionOfSlot(slot int) int {

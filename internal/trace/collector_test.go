@@ -133,15 +133,15 @@ func TestIngestRetention(t *testing.T) {
 func TestHistMergeAcrossNodes(t *testing.T) {
 	const nodes = 4
 	const perNode = 1000
-	fleet := &Hist{}
+	fleet := &Hist{unit: "us"}
 	var wg sync.WaitGroup
 	for n := 0; n < nodes; n++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			local := &Hist{}
+			local := &Hist{unit: "us"}
 			for i := 0; i < perNode; i++ {
-				local.Observe(time.Duration(i%100) * time.Microsecond)
+				local.Observe(float64(i % 100))
 			}
 			fleet.Merge(local.Snapshot("stage"))
 		}(n)
@@ -151,7 +151,7 @@ func TestHistMergeAcrossNodes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perNode; i++ {
-				fleet.Observe(time.Microsecond)
+				fleet.Observe(1)
 			}
 		}()
 	}
@@ -160,16 +160,22 @@ func TestHistMergeAcrossNodes(t *testing.T) {
 	if want := int64(2 * nodes * perNode); snap.Count != want {
 		t.Fatalf("merged count = %d, want %d", snap.Count, want)
 	}
-	if snap.MaxUs < 64 { // max observed is 99µs -> bucket cap >= 64µs upper bound holds exact max
-		t.Fatalf("merged max %.1fµs lost the node maxima", snap.MaxUs)
+	if snap.Max != 99 {
+		t.Fatalf("merged max %.1fµs lost the node maxima", snap.Max)
+	}
+	// Each node ships sum 10*(0+...+99) and the direct writers add 1 per
+	// observation; every partial sum is an exact float, so the mean is
+	// exact unless a CAS-accumulated update was lost.
+	if want := float64(nodes*10*4950+nodes*perNode) / float64(2*nodes*perNode); snap.Mean != want {
+		t.Fatalf("merged mean = %g, want %g", snap.Mean, want)
 	}
 }
 
 // TestHistSetMerge merges by name through the registry.
 func TestHistSetMerge(t *testing.T) {
-	a, b := NewHistSet(), NewHistSet()
-	a.Observe("s", time.Millisecond)
-	a.Observe("t", time.Millisecond)
+	a, b := NewHistSet("us"), NewHistSet("us")
+	a.Observe("s", 1000)
+	a.Observe("t", 1000)
 	b.Merge(a.Snapshots())
 	b.Merge(a.Snapshots())
 	for _, name := range []string{"s", "t"} {

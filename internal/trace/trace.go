@@ -148,7 +148,7 @@ func pickRetention(limit int) int {
 
 // NewCfg creates a tracer from a Config.
 func NewCfg(cfg Config) *Tracer {
-	t := &Tracer{epoch: time.Now(), hists: NewHistSet()}
+	t := &Tracer{epoch: time.Now(), hists: NewHistSet("us")}
 	t.now = func() time.Duration { return time.Since(t.epoch) }
 	t.ids.Store(uint64(cfg.NodeID) << 48)
 	limit := cfg.Retention
@@ -401,7 +401,7 @@ func (t *Tracer) finish(s *Span, dur time.Duration) {
 		t.dropped.Add(int64(over))
 	}
 	sh.mu.Unlock()
-	t.hists.Observe(s.name, dur)
+	t.hists.Observe(s.name, micros(dur))
 }
 
 // Snapshot returns every retained finished span, sorted by start time
@@ -497,12 +497,16 @@ func (t *Tracer) Ingest(spans []SpanData, skew time.Duration) {
 			t.dropped.Add(int64(over))
 		}
 		sh.mu.Unlock()
-		t.hists.Observe(sd.Name, sd.Dur)
+		t.hists.Observe(sd.Name, micros(sd.Dur))
 	}
 }
 
-// Histograms returns the tracer's per-span-name latency histograms.
+// Histograms returns the tracer's per-span-name latency histograms, in
+// microseconds.
 func (t *Tracer) Histograms() *HistSet { return t.hists }
+
+// micros converts a span duration to the histograms' unit.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // Len reports the number of retained finished spans.
 func (t *Tracer) Len() int {

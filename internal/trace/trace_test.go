@@ -2,7 +2,8 @@ package trace
 
 import (
 	"context"
-	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,45 +229,96 @@ func TestLiveSpans(t *testing.T) {
 	}
 }
 
+// TestHistQuantiles covers the bucket layout in both domains the one
+// histogram serves: microsecond latencies (values >= 1, the historical
+// buckets and quantile rule) and plain values down to 2^-20, with
+// negative and NaN samples clamped into bucket 0.
 func TestHistQuantiles(t *testing.T) {
-	h := &Hist{}
-	// 90 fast observations at ~2µs, 10 slow at ~1000µs.
-	for i := 0; i < 90; i++ {
-		h.Observe(2 * time.Microsecond)
+	bucketTotal := func(s HistSnapshot) int64 {
+		var total int64
+		for _, b := range s.Buckets {
+			total += b.Count
+		}
+		return total
 	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000 * time.Microsecond)
+	cases := []struct {
+		name    string
+		samples []float64
+		check   func(t *testing.T, s HistSnapshot)
+	}{
+		{"latency", append(repeat(2, 90), repeat(1000, 10)...), func(t *testing.T, s HistSnapshot) {
+			// 90 fast observations at 2µs, 10 slow at 1000µs.
+			if s.P50 > 8 {
+				t.Fatalf("p50 %gµs, want small", s.P50)
+			}
+			if s.P99 < 512 {
+				t.Fatalf("p99 %gµs, want slow bucket", s.P99)
+			}
+			if s.Max < 999 || s.Max > 1001 {
+				t.Fatalf("max %gµs", s.Max)
+			}
+			if len(s.Buckets) != 2 {
+				t.Fatalf("buckets %+v", s.Buckets)
+			}
+		}},
+		{"sub-unit", []float64{0, 0.5, 1, 2, 100}, func(t *testing.T, s HistSnapshot) {
+			if want := 103.5 / 5; math.Abs(s.Mean-want) > 1e-9 {
+				t.Errorf("mean = %g, want %g", s.Mean, want)
+			}
+			if s.Max != 100 {
+				t.Errorf("max = %g, want 100", s.Max)
+			}
+			// Quantiles are bucket upper bounds: the median sample 1
+			// lies in bucket [1, 2), reported as its upper bound 2.
+			if s.P50 != 2 || s.P99 != 4 {
+				t.Errorf("p50/p99 = %g/%g, want 2/4", s.P50, s.P99)
+			}
+			// Sub-1 samples keep their own buckets: 0 below 2^-20,
+			// 0.5 in [0.5, 1).
+			if len(s.Buckets) != 5 || s.Buckets[0].Upper != math.Ldexp(1, -20) || s.Buckets[1].Upper != 1 {
+				t.Errorf("buckets %+v", s.Buckets)
+			}
+		}},
+		{"clamp", []float64{-5, math.NaN(), 1e300}, func(t *testing.T, s HistSnapshot) {
+			if s.P50 != bucketUpper(0) {
+				t.Errorf("negative/NaN samples should land in bucket 0; p50 = %g", s.P50)
+			}
+			if s.Max != 1e300 || s.Buckets[len(s.Buckets)-1].Upper != bucketUpper(histBuckets-1) {
+				t.Errorf("huge sample not kept in the top bucket: max %g, buckets %+v", s.Max, s.Buckets)
+			}
+		}},
 	}
-	s := h.Snapshot("mix")
-	if s.Count != 100 {
-		t.Fatalf("count %d", s.Count)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &Hist{unit: "us"}
+			for _, v := range tc.samples {
+				h.Observe(v)
+			}
+			s := h.Snapshot(tc.name)
+			if s.Count != int64(len(tc.samples)) || s.Unit != "us" {
+				t.Fatalf("count/unit = %d/%q, want %d/us", s.Count, s.Unit, len(tc.samples))
+			}
+			if total := bucketTotal(s); total != s.Count {
+				t.Fatalf("bucket total %d != count %d", total, s.Count)
+			}
+			tc.check(t, s)
+		})
 	}
-	if s.P50Us > 8 {
-		t.Fatalf("p50 %gµs, want small", s.P50Us)
+}
+
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
 	}
-	if s.P99Us < 512 {
-		t.Fatalf("p99 %gµs, want slow bucket", s.P99Us)
-	}
-	if s.MaxUs < 999 || s.MaxUs > 1001 {
-		t.Fatalf("max %gµs", s.MaxUs)
-	}
-	if len(s.Buckets) != 2 {
-		t.Fatalf("buckets %+v", s.Buckets)
-	}
-	var total int64
-	for _, b := range s.Buckets {
-		total += b.Count
-	}
-	if total != s.Count {
-		t.Fatalf("bucket total %d != count %d", total, s.Count)
-	}
+	return out
 }
 
 // TestHistSnapshotUnderWriters checks snapshot consistency while
 // writers are active: every snapshot must be internally coherent
 // (bucket sum == count field derived from the same loads).
 func TestHistSnapshotUnderWriters(t *testing.T) {
-	hs := NewHistSet()
+	hs := NewHistSet("us")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -279,7 +331,7 @@ func TestHistSnapshotUnderWriters(t *testing.T) {
 					return
 				default:
 				}
-				hs.Observe("concurrent", time.Duration(1+i%2000)*time.Microsecond)
+				hs.Observe("concurrent", float64(1+i%2000))
 			}
 		}(g)
 	}
@@ -297,15 +349,35 @@ func TestHistSnapshotUnderWriters(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHistSetWriteFormat pins the exposition lines: sorted by name,
+// unit-suffixed field names for span latencies and bare ones for plain
+// values such as the predictor tolerance errors.
 func TestHistSetWriteFormat(t *testing.T) {
-	hs := NewHistSet()
-	hs.Observe("b.second", 10*time.Microsecond)
-	hs.Observe("a.first", 5*time.Microsecond)
-	var got []string
-	for _, s := range hs.Snapshots() {
-		got = append(got, s.Name)
+	type obs struct {
+		name string
+		v    float64
 	}
-	if fmt.Sprint(got) != "[a.first b.second]" {
-		t.Fatalf("unsorted snapshots: %v", got)
+	cases := []struct {
+		unit string
+		obs  []obs
+		want string
+	}{
+		{"us", []obs{{"b.second", 10}, {"a.first", 5}},
+			"a.first count=1 mean_us=5.0 p50_us=8 p90_us=8 p99_us=8 max_us=5.0\n" +
+				"b.second count=1 mean_us=10.0 p50_us=16 p90_us=16 p99_us=16 max_us=10.0\n"},
+		{"", []obs{{"predict.tolerr.synth", 0.2}, {"predict.tolerr.synth", 3}, {"predict.tolerr.place", 1}},
+			"predict.tolerr.place count=1 mean=1.0 p50=2 p90=2 p99=2 max=1.0\n" +
+				"predict.tolerr.synth count=2 mean=1.6 p50=0.25 p90=0.25 p99=0.25 max=3.0\n"},
+	}
+	for _, tc := range cases {
+		hs := NewHistSet(tc.unit)
+		for _, o := range tc.obs {
+			hs.Observe(o.name, o.v)
+		}
+		var b strings.Builder
+		hs.Write(&b)
+		if b.String() != tc.want {
+			t.Errorf("unit %q:\n got %q\nwant %q", tc.unit, b.String(), tc.want)
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/metrics"
@@ -221,8 +220,7 @@ func sortCanonical(recs []Record) {
 }
 
 // Aggregate folds the named scalar of every matching record into a
-// latency-histogram snapshot (the existing trace.Hist machinery, with
-// the scalar read as microseconds), yielding count/mean/p50/p90/p99/max
+// unitless trace.Hist snapshot, yielding count/mean/p50/p90/p99/max
 // across the fleet in one pass.
 func (w *Warehouse) Aggregate(q Query, scalar string) trace.HistSnapshot {
 	h := &trace.Hist{}
@@ -234,7 +232,7 @@ func (w *Warehouse) Aggregate(q Query, scalar string) trace.HistSnapshot {
 		if v < 0 {
 			v = -v // magnitudes: wns_ps is negative when timing fails
 		}
-		h.Observe(time.Duration(v * float64(time.Microsecond)))
+		h.Observe(v)
 	}
 	return h.Snapshot(scalar)
 }

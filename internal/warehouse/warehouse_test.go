@@ -103,7 +103,7 @@ func TestSelectAggregate(t *testing.T) {
 		t.Fatalf("canonical order broken: %+v", got)
 	}
 	snap := w.Aggregate(Query{Campaign: "c", Stage: "sta"}, "wns_ps")
-	if snap.Count != 1 || snap.MaxUs != 200 {
+	if snap.Count != 1 || snap.Max != 200 {
 		t.Fatalf("aggregate = %+v, want count 1 max 200 (magnitude of -200)", snap)
 	}
 	if snap = w.Aggregate(Query{Campaign: "c"}, "t_ms"); snap.Count != 2 {

@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/campaign"
@@ -60,6 +61,23 @@ func Artificial(seed int64) DesignSpec { return netlist.Artificial(seed) }
 
 // TinyDesign returns a minimal spec for experimentation and tests.
 func TinyDesign(seed int64) DesignSpec { return netlist.Tiny(seed) }
+
+// DesignByName returns the spec of a named design — "pulpino", "cpu",
+// "artificial" or "tiny" — the design table every CLI's -design flag
+// resolves through.
+func DesignByName(name string, seed int64) (DesignSpec, error) {
+	switch name {
+	case "pulpino":
+		return PulpinoProxy(seed), nil
+	case "cpu":
+		return EmbeddedCPU(seed), nil
+	case "artificial":
+		return Artificial(seed), nil
+	case "tiny":
+		return TinyDesign(seed), nil
+	}
+	return DesignSpec{}, fmt.Errorf("unknown design %q", name)
+}
 
 // RunFlow executes the full SP&R flow (synthesis, placement, CTS,
 // global+detailed routing, signoff STA) on a design.
