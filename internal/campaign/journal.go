@@ -12,11 +12,14 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"sort"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/flow"
 	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/netlist"
 	"repro/internal/trace"
 )
 
@@ -36,33 +39,157 @@ type Entry struct {
 	Spec *flow.SpecStats
 }
 
-// EncodeEntry serializes an entry for the durable log or the network
-// result store — the one wire format a journaled point has, so a store
-// node and a local journal can exchange records byte-for-byte.
-func EncodeEntry(e Entry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("campaign: encode entry: %w", err)
-	}
-	return buf.Bytes(), nil
+// entryFormat is the first byte of every encoded entry. Builds before
+// this framing wrote a bare gob stream, whose first byte (a gob length)
+// is below 0x80 or at least 0xF8; so no record of theirs passes this
+// check, and each costs one recompute instead of being misdecoded.
+const entryFormat = 0x81
+
+// Netlist layout of an encoded entry (its second byte).
+const (
+	entryNetlist      = 1 << iota // Res.Netlist follows
+	entrySynthAliased             // Res.Synth.Netlist is Res.Netlist
+	entrySynthNetlist             // a separate Res.Synth.Netlist follows
+)
+
+// entryMeta is the gob-encoded part of an entry: everything but the
+// netlists, with step metrics as sorted slices so that encoding a
+// decoded entry reproduces its bytes.
+type entryMeta struct {
+	Key   string
+	Res   *flow.Result // Netlist and Synth.Netlist nil
+	Steps []stepWire
+	Spec  *flow.SpecStats
 }
 
-// DecodeEntry parses an encoded entry, rejecting structurally empty
-// records (no key or no result) the same way journal recovery does.
+type stepWire struct {
+	Design  string
+	RunSeed int64
+	Step    string
+	Options flow.Options
+	Keys    []string // Metrics, sorted by key
+	Values  []float64
+	Series  []float64
+}
+
+// EncodeEntry serializes an entry for the durable log or the network
+// result store — the one wire format a journaled point has, so a store
+// node and a local journal can exchange records byte-for-byte. The
+// layout is a format byte, a netlist-layout byte, the length-prefixed
+// gob of entryMeta, then each netlist's netlist.AppendBinary encoding.
+// A Synth.Netlist that aliases Netlist (as every flow run's does) is
+// written once, and DecodeEntry restores the alias.
+func EncodeEntry(e Entry) ([]byte, error) {
+	meta := entryMeta{Key: e.Key, Spec: e.Spec}
+	for _, st := range e.Steps {
+		w := stepWire{Design: st.Design, RunSeed: st.RunSeed, Step: st.Step, Options: st.Options, Series: st.Series}
+		for k := range st.Metrics {
+			w.Keys = append(w.Keys, k)
+		}
+		sort.Strings(w.Keys)
+		for _, k := range w.Keys {
+			w.Values = append(w.Values, st.Metrics[k])
+		}
+		meta.Steps = append(meta.Steps, w)
+	}
+	var layout byte
+	var nets []*netlist.Netlist
+	if e.Res != nil {
+		res := *e.Res
+		res.Netlist, res.Synth.Netlist = nil, nil
+		meta.Res = &res
+		if n := e.Res.Netlist; n != nil {
+			layout |= entryNetlist
+			nets = append(nets, n)
+		}
+		switch sn := e.Res.Synth.Netlist; {
+		case sn == nil:
+		case sn == e.Res.Netlist:
+			layout |= entrySynthAliased
+		default:
+			layout |= entrySynthNetlist
+			nets = append(nets, sn)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(meta); err != nil {
+		return nil, fmt.Errorf("campaign: encode entry: %w", err)
+	}
+	out := append(make([]byte, 0, 16+buf.Len()), entryFormat, layout)
+	out = binfmt.AppendBlob(out, buf.Bytes())
+	for _, n := range nets {
+		out = n.AppendBinary(out)
+	}
+	return out, nil
+}
+
+// DecodeEntry parses an encoded entry, rejecting unknown formats and
+// structurally empty records (no key or no result) the same way journal
+// recovery does. It returns an error, never panics, on any input.
 func DecodeEntry(data []byte) (Entry, error) {
-	var e Entry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	e, err := decodeEntry(data)
+	if err != nil {
 		return Entry{}, fmt.Errorf("campaign: decode entry: %w", err)
 	}
-	if e.Key == "" || e.Res == nil {
-		return Entry{}, fmt.Errorf("campaign: decode entry: missing key or result")
+	return e, nil
+}
+
+func decodeEntry(data []byte) (Entry, error) {
+	r := binfmt.NewReader(data)
+	if f := r.Byte(); r.Err() == nil && f != entryFormat {
+		return Entry{}, fmt.Errorf("unknown format byte %#x", f)
+	}
+	layout := r.Byte()
+	metaBytes := r.Blob()
+	var n, sn *netlist.Netlist
+	if layout&entryNetlist != 0 {
+		n = netlist.Read(r)
+	}
+	if layout&entrySynthNetlist != 0 {
+		sn = netlist.Read(r)
+	}
+	if err := r.Done(); err != nil {
+		return Entry{}, err
+	}
+	if layout&^(entryNetlist|entrySynthAliased|entrySynthNetlist) != 0 ||
+		layout&entrySynthAliased != 0 && (n == nil || sn != nil) {
+		return Entry{}, fmt.Errorf("invalid netlist layout %#x", layout)
+	}
+	if layout&entrySynthAliased != 0 {
+		sn = n
+	}
+	var meta entryMeta
+	mr := bytes.NewReader(metaBytes)
+	if err := gob.NewDecoder(mr).Decode(&meta); err != nil {
+		return Entry{}, err
+	}
+	if mr.Len() != 0 {
+		return Entry{}, fmt.Errorf("%d trailing bytes after the gob part", mr.Len())
+	}
+	if meta.Key == "" || meta.Res == nil {
+		return Entry{}, fmt.Errorf("missing key or result")
+	}
+	meta.Res.Netlist, meta.Res.Synth.Netlist = n, sn
+	e := Entry{Key: meta.Key, Res: meta.Res, Spec: meta.Spec}
+	for _, w := range meta.Steps {
+		if len(w.Keys) != len(w.Values) {
+			return Entry{}, fmt.Errorf("step %q has %d metric keys for %d values", w.Step, len(w.Keys), len(w.Values))
+		}
+		st := flow.StepRecord{Design: w.Design, RunSeed: w.RunSeed, Step: w.Step, Options: w.Options, Series: w.Series}
+		if len(w.Keys) > 0 {
+			st.Metrics = make(map[string]float64, len(w.Keys))
+			for i, k := range w.Keys {
+				st.Metrics[k] = w.Values[i]
+			}
+		}
+		e.Steps = append(e.Steps, st)
 	}
 	return e, nil
 }
 
 // Journal is the campaign-facing wrapper over the durable log: it
-// serializes entries with gob, deduplicates appends by key (a point
-// replayed from the journal is marked seen and never re-appended), and
+// serializes entries with EncodeEntry, deduplicates appends by key (a
+// point replayed from the journal is marked seen and never re-appended), and
 // turns append failures into a sticky error surfaced via Err — the
 // campaign itself keeps running, because losing durability must not
 // lose the live computation too.

@@ -1,48 +1,108 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/cellib"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/netlist"
 )
 
+// stepLog collects a flow run's step records.
+type stepLog struct{ steps []flow.StepRecord }
+
+func (l *stepLog) OnStep(rec flow.StepRecord) { l.steps = append(l.steps, rec) }
+
 // TestEntryCodecRoundTrip: the exported codec is the journal's wire
-// format — an encoded entry must decode back to the identical record,
-// and structurally empty or garbage inputs must be rejected, not
-// half-decoded.
+// format — an encoded entry must decode back to the identical record
+// (netlist included, with Synth.Netlist aliasing Netlist as in a live
+// result), re-encode to the same bytes, and structurally empty or
+// garbage inputs must be rejected, not half-decoded.
 func TestEntryCodecRoundTrip(t *testing.T) {
-	design := tinyDesign(1)
-	pts := sweepPoints(design, KeyFor(design), 1, 1)
-	res, err := New(Config{Workers: 1}).Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		spec netlist.Spec
+		// offLibrary gives one instance a cell that matches no library
+		// entry, so it must round-trip through the full-cell fallback.
+		offLibrary bool
+	}{
+		{"tiny", netlist.Tiny(1), false},
+		{"pulpino", netlist.PulpinoProxy(1), false},
+		{"cpu", netlist.EmbeddedCPU(1), false},
+		{"artificial", netlist.Artificial(1), false},
+		{"tiny-off-library-cell", netlist.Tiny(2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			design := netlist.Generate(cellib.Default14nm(), tc.spec)
+			var log stepLog
+			res := flow.RunObserved(design, flow.Options{TargetFreqGHz: 0.5, PlaceMoves: 4, Seed: 1}, &log)
+			if res.Synth.Netlist != res.Netlist {
+				t.Fatal("live result does not alias Synth.Netlist to Netlist")
+			}
+			if tc.offLibrary {
+				cell := &res.Netlist.Insts[len(res.Netlist.Insts)/2].Cell
+				cell.Area *= 1.5
+				if _, ok := res.Netlist.Lib.Index(*cell); ok {
+					t.Fatal("mutated cell still matches the library")
+				}
+			}
+			in := Entry{
+				Key:   KeyFor(design),
+				Res:   res,
+				Steps: log.steps,
+				Spec:  &flow.SpecStats{Launched: 2, Committed: 1},
+			}
+			data, err := EncodeEntry(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := DecodeEntry(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Key != in.Key || !reflect.DeepEqual(out.Steps, in.Steps) || !reflect.DeepEqual(out.Spec, in.Spec) {
+				t.Fatalf("round trip lost key, steps or spec: %+v", out)
+			}
+			got, want := out.Res.Netlist, in.Res.Netlist
+			for _, f := range []struct {
+				field     string
+				got, want any
+			}{
+				{"Insts", got.Insts, want.Insts},
+				{"Nets", got.Nets, want.Nets},
+				{"FaninNet", got.FaninNet, want.FaninNet},
+				{"FanoutNet", got.FanoutNet, want.FanoutNet},
+				{"ClockNet", got.ClockNet, want.ClockNet},
+				{"ClockPeriodPs", got.ClockPeriodPs, want.ClockPeriodPs},
+				{"Lib.Cells", got.Lib.Cells(), want.Lib.Cells()},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("netlist %s differs after round trip", f.field)
+				}
+			}
+			if out.Res.Synth.Netlist != out.Res.Netlist {
+				t.Error("decoded Synth.Netlist does not alias Netlist")
+			}
+			if !reflect.DeepEqual(out.Res, in.Res) {
+				t.Error("decoded result differs from the encoded one")
+			}
+			again, err := EncodeEntry(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, data) {
+				t.Errorf("re-encoding the decoded entry changed its bytes (%d vs %d)", len(again), len(data))
+			}
+		})
 	}
-	in := Entry{
-		Key:   pts[0].cacheKey(),
-		Res:   res[0],
-		Steps: []flow.StepRecord{{Step: "synth"}},
-		Spec:  &flow.SpecStats{Launched: 2, Committed: 1},
-	}
-	data, err := EncodeEntry(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeEntry(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Key != in.Key || out.Res == nil || len(out.Steps) != 1 || out.Spec == nil || out.Spec.Committed != 1 {
-		t.Fatalf("round trip lost data: %+v", out)
-	}
-	if out.Res.AreaUm2 != in.Res.AreaUm2 || out.Res.WNSPs != in.Res.WNSPs {
-		t.Fatalf("round trip drifted QoR: %v vs %v", out.Res, in.Res)
-	}
-	if _, err := DecodeEntry([]byte("not gob")); err == nil {
+	if _, err := DecodeEntry([]byte("not an entry")); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
 	empty, err := EncodeEntry(Entry{})

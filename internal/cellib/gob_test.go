@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestLibraryGobRoundTrip proves a gob round-trip reproduces the
-// library exactly, indices included — the property the campaign journal
-// relies on when it serializes whole flow results.
+// TestLibraryGobRoundTrip proves a gob round-trip, which goes through
+// the library's binary codec (MarshalBinary), reproduces the library
+// exactly, indices included.
 func TestLibraryGobRoundTrip(t *testing.T) {
 	lib := Default14nm()
 	var buf bytes.Buffer

@@ -114,7 +114,7 @@ func (c *StoreClient) LoadCtx(ctx context.Context, key string) (campaign.Entry, 
 	}
 	e, err := campaign.DecodeEntry(res.body)
 	if err != nil {
-		// A truncated or torn gob body decodes to an error, never a
+		// A truncated or torn body decodes to an error, never a
 		// partial entry served as truth.
 		metrics.Add("dist.client.decode_err", 1)
 		return campaign.Entry{}, false

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/cellib"
 	"repro/internal/flow"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 )
 
@@ -264,6 +267,97 @@ func TestStoreWALRecovery(t *testing.T) {
 	defer s3.Close()
 	if s3.Len() != len(pts) {
 		t.Fatalf("torn tail lost entries: %d != %d", s3.Len(), len(pts))
+	}
+}
+
+// TestStoreWALParentFormatCorrupt: a store WAL record written by the
+// build before the binary entry framing is counted corrupt at recovery
+// (one recompute), never served, and the current-format records beside
+// it still recover.
+func TestStoreWALParentFormatCorrupt(t *testing.T) {
+	old, err := os.ReadFile("../campaign/testdata/parent_entry.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := sweepPoints(tinyDesign(3), 1, 1)
+	ref := singleNodeReference(t, pts)
+	data, err := campaign.EncodeEntry(campaign.Entry{Key: pts[0].CacheKey(), Res: ref[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	wal, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{old, data} {
+		if err := wal.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := metrics.Default.Get("dist.store.corrupt")
+	s, err := OpenStore(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Corrupt != 1 || st.Recovered != 1 || st.Entries != 1 {
+		t.Fatalf("recovery stats %+v, want 1 corrupt and 1 recovered", st)
+	}
+	if d := metrics.Default.Get("dist.store.corrupt") - before; d != 1 {
+		t.Fatalf("dist.store.corrupt moved by %d, want 1", d)
+	}
+}
+
+// TestStorePutCap: a put larger than maxEntryBytes is refused whole with
+// 413 and counted in dist.store.rejected, instead of being truncated and
+// failing decode; a real entry is stored.
+func TestStorePutCap(t *testing.T) {
+	store, err := OpenStore("", journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewStoreServer(store)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pts := sweepPoints(tinyDesign(5), 1, 1)
+	key := pts[0].CacheKey()
+	entry, err := campaign.EncodeEntry(campaign.Entry{Key: key, Res: singleNodeReference(t, pts)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, "http://"+addr+"/v1/entry?key="+url.QueryEscape(key), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	rejected := metrics.Default.Get("dist.store.rejected")
+	oversized := append(append([]byte(nil), entry...), make([]byte, maxEntryBytes)...)
+	if code := put(oversized); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized put: status %d, want 413", code)
+	}
+	if d := metrics.Default.Get("dist.store.rejected") - rejected; d != 1 {
+		t.Fatalf("dist.store.rejected moved by %d, want 1", d)
+	}
+	if code := put(entry); code != http.StatusOK {
+		t.Fatalf("put of a real entry: status %d", code)
+	}
+	if store.Len() != 1 {
+		t.Fatalf("store holds %d entries, want 1", store.Len())
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
@@ -27,9 +28,12 @@ type StoreServer struct {
 	node  httpNode
 }
 
-// maxEntryBytes bounds one uploaded entry (matches the WAL's own record
-// bound so an accepted put can always be journaled).
-const maxEntryBytes = 1 << 28
+// maxEntryBytes bounds one entry on the wire, in a put and in a get. The
+// largest preset (embedded-cpu) encodes to ~180 KB, so the cap leaves
+// ample headroom while keeping one put from pinning the store's memory;
+// it is far below the WAL's record bound, so an accepted put can always
+// be journaled.
+const maxEntryBytes = 16 << 20
 
 // NewStoreServer wraps a store.
 func NewStoreServer(store *Store) *StoreServer {
@@ -90,10 +94,15 @@ func (s *StoreServer) handleEntry(w http.ResponseWriter, r *http.Request) {
 		// the stitched trace.
 		_, sp := trace.Start(trace.AdoptHTTP(r.Context(), r.Header), "dist.store.put")
 		sp.Set("key", key)
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxEntryBytes))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEntryBytes))
 		if err != nil {
+			status := http.StatusBadRequest
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+				metrics.Add("dist.store.rejected", 1)
+			}
 			sp.EndErr(err)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), status)
 			return
 		}
 		stored, err := s.store.Put(key, data)

@@ -573,4 +573,3 @@ func DieSize(n *Netlist, utilization float64) (w, h float64) {
 	}
 	return side, side
 }
-

@@ -33,12 +33,12 @@ import (
 // Record is one flow stage of one campaign point as the warehouse
 // stores it.
 type Record struct {
-	Campaign string  // campaign id (hex of the sweep-spec hash)
-	Point    int     // index in the campaign's canonical point list
-	Stage    string  // "synth", "place", "cts", "groute", "droute", "sta", "recover"
-	Node     string  // node that emitted it ("local", "w0", ...)
-	Corner   string  // analysis corner (single-corner flow: "typ")
-	Key      string  // canonical flow.Options key of the point
+	Campaign string // campaign id (hex of the sweep-spec hash)
+	Point    int    // index in the campaign's canonical point list
+	Stage    string // "synth", "place", "cts", "groute", "droute", "sta", "recover"
+	Node     string // node that emitted it ("local", "w0", ...)
+	Corner   string // analysis corner (single-corner flow: "typ")
+	Key      string // canonical flow.Options key of the point
 	Design   string
 	Seed     int64
 	FreqGHz  float64

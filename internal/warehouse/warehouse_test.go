@@ -96,8 +96,8 @@ func TestSelectAggregate(t *testing.T) {
 	defer w.Close()
 	// Insert out of order; Select must come back (campaign, point, stage).
 	w.Append(rec("c", 1, "sta", map[string]float64{"wns_ps": -200})) //nolint:errcheck
-	w.Append(rec("c", 0, "synth", map[string]float64{"t_ms": 5}))   //nolint:errcheck
-	w.Append(rec("c", 0, "place", map[string]float64{"t_ms": 7}))   //nolint:errcheck
+	w.Append(rec("c", 0, "synth", map[string]float64{"t_ms": 5}))    //nolint:errcheck
+	w.Append(rec("c", 0, "place", map[string]float64{"t_ms": 7}))    //nolint:errcheck
 	got := w.Select(Query{Campaign: "c"})
 	if len(got) != 3 || got[0].Stage != "place" || got[1].Stage != "synth" || got[2].Point != 1 {
 		t.Fatalf("canonical order broken: %+v", got)
